@@ -53,7 +53,9 @@ def build():
 
 
 def phase(binary, name, args, work_dir):
-    cmd = [str(binary), name, "--workload", args.workload, "--seed", str(args.seed),
+    # Specs carry the seed as a JSON number, exact only below 2^53.
+    seed = args.seed % (1 << 53)
+    cmd = [str(binary), name, "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--work-dir", str(work_dir)]
     # A fixed mmap threshold stops glibc from moving it as large blocks
     # are freed, which made the peak RSS of one workload differ by 25%
