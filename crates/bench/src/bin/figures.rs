@@ -12,10 +12,9 @@
 //! perf trajectory of the harness itself: wall-clock per experiment,
 //! simulated-flits/sec probes (with speedup against the committed
 //! `BENCH_2.json` baseline), the serial-vs-parallel sweep comparison,
-//! and the space-parallel engine scaling block (DESIGN.md §15).
-//! `--jobs N` sets the parallel sweep's worker count (default: all
-//! cores, or `MCAST_JOBS` / `RAYON_NUM_THREADS`); `--engine-jobs N`
-//! sets the scaling block's lane count (default 4).
+//! and the engine scaling block. `--jobs N` sets the parallel sweep's
+//! worker count (default: all cores, or `MCAST_JOBS` /
+//! `RAYON_NUM_THREADS`).
 
 use std::path::Path;
 
@@ -26,7 +25,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut jobs = None;
-    let mut engine_jobs = 4;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -34,13 +32,6 @@ fn main() {
             "--smoke" => smoke = true,
             "--scale" => smoke = it.next().map(String::as_str) == Some("smoke"),
             "--jobs" => jobs = it.next().and_then(|v| v.parse::<usize>().ok()),
-            "--engine-jobs" => {
-                engine_jobs = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or(4)
-                    .max(1)
-            }
             "--experiment" => ids.extend(it.next().cloned()),
             id if !id.starts_with("--") => ids.push(id.to_string()),
             other => eprintln!("warning: ignoring unknown flag {other}"),
@@ -94,27 +85,11 @@ fn main() {
             "RESULTS DIVERGED"
         }
     );
-    for p in perf.run_engine_scale_probes(&scale, engine_jobs) {
+    for p in perf.run_engine_scale_probes(&scale) {
         eprintln!(
-            "[engine-scale {}] {} nodes: serial {:.1} ms, {} lanes {:.1} ms \
-             ({:.2}x, {} steps, {})",
-            p.name,
-            p.nodes,
-            p.serial_wall_ms,
-            p.engine_jobs,
-            p.parallel_wall_ms,
-            p.speedup,
-            p.engine_steps,
-            if p.work_identical {
-                "work metrics identical"
-            } else {
-                "WORK METRICS DIVERGED"
-            }
+            "[engine-scale {}] {} nodes: {:.1} ms, {} steps, {} flit hops",
+            p.name, p.nodes, p.serial_wall_ms, p.engine_steps, p.flit_hops
         );
-    }
-    if perf.engine_scale().iter().any(|p| !p.work_identical) {
-        eprintln!("error: space-parallel engine diverged from serial");
-        std::process::exit(1);
     }
     match perf.write_bench4(out_dir) {
         Ok(()) => eprintln!("wrote {}", out_dir.join("BENCH_4.json").display()),

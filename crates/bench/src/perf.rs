@@ -1,8 +1,7 @@
 //! Performance trajectory of the harness itself: wall-clock per
 //! experiment, simulator-throughput probes (simulated flits per
 //! wall-clock second), the serial-vs-parallel sweep comparison, and the
-//! space-parallel engine scaling block, written to
-//! `results/BENCH_4.json`.
+//! engine scaling block, written to `results/BENCH_4.json`.
 //!
 //! Probes run the **uninstrumented** hot path: the engine counts flit
 //! hops natively (`Engine::flit_hops`, surfaced through
@@ -13,13 +12,12 @@
 //! before/after baseline and its `flits_per_sec` values are folded into
 //! this document as `baseline_flits_per_sec`.
 //!
-//! The v4 schema adds the `engine_scale` block: each probe topology
-//! runs the *same* workload serially and under the space-parallel
-//! engine (DESIGN.md §15), reporting wall clocks plus the
+//! The v4 schema adds the `engine_scale` block: one fixed workload per
+//! probe topology, reporting its wall clock plus the
 //! environment-insensitive work metrics (`engine_steps`, `flit_hops`)
-//! that must match **exactly** between the two legs — that exact match
-//! is the CI perf gate; wall clocks are report-only because they track
-//! the host, not the code. The earlier `BENCH_3.json` wall-clock
+//! that must match the committed baseline **exactly** — that exact
+//! match is the CI perf gate; wall clocks are report-only because they
+//! track the host, not the code. The earlier `BENCH_3.json` wall-clock
 //! speedups are superseded by this document (see `supersedes` in the
 //! header).
 
@@ -94,36 +92,24 @@ pub struct SweepBenchResult {
     pub deterministic: bool,
 }
 
-/// One space-parallel engine scaling probe: the identical fixed
-/// workload run serially and on `engine_jobs` worker lanes.
+/// One engine scaling probe: a fixed workload on one probe topology.
 #[derive(Debug, Clone)]
 pub struct EngineScaleProbe {
     /// Probe topology (registry spec form, e.g. `mesh:64x64`).
     pub name: String,
     /// Nodes in the topology.
     pub nodes: usize,
-    /// Worker lanes of the parallel leg.
-    pub engine_jobs: usize,
-    /// Wall-clock of the serial leg, milliseconds.
-    pub serial_wall_ms: f64,
-    /// Wall-clock of the parallel leg, milliseconds.
-    pub parallel_wall_ms: f64,
-    /// `serial_wall_ms / parallel_wall_ms` (host-dependent; report
+    /// Wall-clock of the run, milliseconds (host-dependent; report
     /// only, never gated).
-    pub speedup: f64,
-    /// Event-loop steps (identical across legs by construction; the
-    /// serial leg's count is recorded and the match is asserted in
-    /// `work_identical`).
+    pub serial_wall_ms: f64,
+    /// Event-loop steps (gated exactly).
     pub engine_steps: u64,
-    /// Flit hops (identical across legs, as above).
+    /// Flit hops (gated exactly).
     pub flit_hops: u64,
     /// Simulated time covered, nanoseconds.
     pub sim_ns: u64,
     /// Messages completed.
     pub completed: u64,
-    /// Whether the two legs agreed exactly on every work metric
-    /// (steps, hops, simulated time, completions, mean latency).
-    pub work_identical: bool,
 }
 
 /// Scans our own `BENCH_2.json` text for `(probe name, flits_per_sec)`
@@ -316,20 +302,12 @@ impl PerfRecorder {
         self.sweep.as_ref().expect("just set")
     }
 
-    /// Runs the space-parallel engine scaling block (DESIGN.md §15):
-    /// for each probe topology, the identical Poisson workload runs
-    /// once serially and once on `engine_jobs` worker lanes. The work
-    /// metrics (`engine_steps`, `flit_hops`, simulated time,
-    /// completions, mean latency) must agree exactly — the engine is
-    /// deterministic by construction — and the wall clocks are recorded
-    /// for the report. Probe topologies: the standard 8×8 mesh, the
-    /// 16×16 mesh, the 64×64 mesh (the "single large run" the parallel
-    /// engine exists for), and the 16-node hypercube.
-    pub fn run_engine_scale_probes(
-        &mut self,
-        scale: &Scale,
-        engine_jobs: usize,
-    ) -> &[EngineScaleProbe] {
+    /// Runs the engine scaling block: for each probe topology, one
+    /// fixed Poisson workload, recording its work metrics
+    /// (`engine_steps`, `flit_hops`, gated exactly in CI) and its wall
+    /// clock. Probe topologies: the standard 8×8 mesh, the 16×16 mesh,
+    /// the 64×64 mesh, and the 16-node hypercube.
+    pub fn run_engine_scale_probes(&mut self, scale: &Scale) -> &[EngineScaleProbe] {
         use mcast_sim::registry::{build_router, SchemeId, TopoSpec};
         for name in ["mesh:8x8", "mesh:16x16", "mesh:64x64", "cube:4"] {
             let topo = TopoSpec::parse(name).expect("scale probe topology parses");
@@ -341,48 +319,19 @@ impl PerfRecorder {
                 destinations: 8.min(topo.num_nodes() - 1),
                 ..scale.dynamic_config()
             };
-
-            let serial_cfg = DynamicConfig {
-                engine_jobs: 1,
-                ..cfg.clone()
-            };
             let start = Instant::now();
-            let serial = run_dynamic(built.as_dyn(), router.as_ref(), &serial_cfg);
+            let r = run_dynamic(built.as_dyn(), router.as_ref(), &cfg);
             let serial_wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-
-            let par_cfg = DynamicConfig { engine_jobs, ..cfg };
-            let start = Instant::now();
-            let parallel = run_dynamic(built.as_dyn(), router.as_ref(), &par_cfg);
-            let parallel_wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-
-            let work_identical = serial.engine_steps == parallel.engine_steps
-                && serial.flit_hops == parallel.flit_hops
-                && serial.sim_time_ns == parallel.sim_time_ns
-                && serial.completed == parallel.completed
-                && serial.mean_latency_us == parallel.mean_latency_us;
             self.engine_scale.push(EngineScaleProbe {
                 name: name.to_string(),
                 nodes: topo.num_nodes(),
-                engine_jobs,
                 serial_wall_ms,
-                parallel_wall_ms,
-                speedup: if parallel_wall_ms > 0.0 {
-                    serial_wall_ms / parallel_wall_ms
-                } else {
-                    0.0
-                },
-                engine_steps: serial.engine_steps,
-                flit_hops: serial.flit_hops,
-                sim_ns: serial.sim_time_ns,
-                completed: serial.completed as u64,
-                work_identical,
+                engine_steps: r.engine_steps,
+                flit_hops: r.flit_hops,
+                sim_ns: r.sim_time_ns,
+                completed: r.completed as u64,
             });
         }
-        &self.engine_scale
-    }
-
-    /// Recorded engine scaling probes.
-    pub fn engine_scale(&self) -> &[EngineScaleProbe] {
         &self.engine_scale
     }
 
@@ -471,21 +420,16 @@ impl PerfRecorder {
             ));
             for (i, p) in self.engine_scale.iter().enumerate() {
                 s.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"nodes\": {}, \"engine_jobs\": {}, \
-                     \"serial_wall_ms\": {:.3}, \"parallel_wall_ms\": {:.3}, \
-                     \"speedup\": {:.2}, \"engine_steps\": {}, \"flit_hops\": {}, \
-                     \"sim_ns\": {}, \"completed\": {}, \"work_identical\": {}}}{}\n",
+                    "    {{\"name\": \"{}\", \"nodes\": {}, \"serial_wall_ms\": {:.3}, \
+                     \"engine_steps\": {}, \"flit_hops\": {}, \"sim_ns\": {}, \
+                     \"completed\": {}}}{}\n",
                     p.name,
                     p.nodes,
-                    p.engine_jobs,
                     p.serial_wall_ms,
-                    p.parallel_wall_ms,
-                    p.speedup,
                     p.engine_steps,
                     p.flit_hops,
                     p.sim_ns,
                     p.completed,
-                    p.work_identical,
                     if i + 1 < self.engine_scale.len() {
                         ","
                     } else {
@@ -576,11 +520,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_scale_probes_report_identical_work_metrics() {
-        // The acceptance invariant behind the CI perf gate: serial and
-        // space-parallel legs of every scaling probe agree exactly on
-        // the work metrics. Statistics effort is trimmed below smoke so
-        // the 64×64 probe stays test-sized.
+    fn engine_scale_probes_report_work_metrics() {
+        // The CI perf gate reads these work metrics. Statistics effort
+        // is trimmed below smoke so the 64×64 probe stays test-sized.
         let mut rec = PerfRecorder::new();
         let scale = Scale {
             warmup: 10,
@@ -589,16 +531,14 @@ mod tests {
             max_batches: 2,
             ..Scale::smoke()
         };
-        let probes = rec.run_engine_scale_probes(&scale, 4).to_vec();
+        let probes = rec.run_engine_scale_probes(&scale).to_vec();
         assert_eq!(probes.len(), 4);
         for p in &probes {
-            assert!(p.work_identical, "{}: work metrics diverged", p.name);
             assert!(
                 p.engine_steps > 0 && p.flit_hops > 0,
                 "{}: empty probe",
                 p.name
             );
-            assert_eq!(p.engine_jobs, 4);
         }
         assert!(probes
             .iter()
@@ -608,8 +548,6 @@ mod tests {
         validate_json(&json).expect("BENCH_4.json parses");
         assert!(json.contains("\"engine_scale\""));
         assert!(json.contains("\"host_cpus\""));
-        assert!(json.contains("\"work_identical\": true"));
-        assert!(!json.contains("\"work_identical\": false"));
     }
 
     #[test]

@@ -43,10 +43,9 @@ USAGE:
                  [--dests <K>] [--seed <S>]
   mcast sweep    [--topology <T>] [--algorithms <A,A,...>] [--loads-us <F,F,...>]
                  [--replications <R>] [--dests <K>] [--seed <S>]
-                 [--jobs <N>] [--engine-jobs <N>] [--compare-serial true|false]
+                 [--jobs <N>] [--compare-serial true|false]
   mcast run      --spec <file.json> [--dry-run true] [--jobs <N>]
-                 [--engine-jobs <N>] [--stream true] [--messages <N>]
-                 [--duration-ms <MS>]
+                 [--stream true] [--messages <N>] [--duration-ms <MS>]
   mcast deadlock --scenario fig6_1|fig6_4 [--algorithm <A>] [--recover true]
   mcast fault-sweep --topology <T> [--algorithm <A>] [--fault-rates 0,0.02,0.05,0.1]
                  [--messages <N>] [--dests <K>] [--seed <S>]
@@ -62,7 +61,7 @@ USAGE:
                  [--chaos swap-class] [--out <dir>]
   mcast topo     validate|synthesize|route|deadlock --graph <SRC>
                  [--source <N> --dests <N,N,...>]
-  mcast serve    --journal <dir> [--jobs <N>] [--engine-jobs <N>] [--batch]
+  mcast serve    --journal <dir> [--jobs <N>] [--batch]
                  [--poll-ms <MS>] [--queue-cap <N>] [--retries <N>]
                  [--deadline-ms <MS>] [--step-budget <N>] [--metrics-out <F>]
                  [--chaos [--seed <S>]]
@@ -98,12 +97,8 @@ VERIFY:       differential conformance of the optimized engine against
               to minimal reproducer specs written under --out
 SWEEP:        fans load x algorithm x replication across --jobs threads
               (default: all cores, or MCAST_JOBS / RAYON_NUM_THREADS);
-              --engine-jobs <N> additionally runs every *single*
-              simulation on N worker lanes via the space-parallel
-              deterministic engine (DESIGN.md §15) — bit-identical to
-              serial, composes with --jobs; --compare-serial also runs
-              the fully serial reference (1 job, 1 engine lane) and
-              checks the parallel results are bit-identical
+              --compare-serial also runs the serial reference (1 job)
+              and checks the parallel results are bit-identical
 TOPO:         custom-topology toolkit — <SRC> is a graph file (JSON or
               a DOT subset) or a generator form (rand:/lmesh:/ftree:);
               synthesize certifies the up*/down* (duplex) or
@@ -122,7 +117,54 @@ SERVE:        supervised job-execution service over a crash-safe journal
 SUBMIT:       validates a spec file and drops its canonical bytes into
               the serve inbox (--force submits unvalidated bytes, e.g.
               to exercise the server's poisoned-spec path)
-NODES:        decimal ids, or 0b... binary addresses on cubes";
+NODES:        decimal ids, or 0b... binary addresses on cubes
+FLAGS:        each subcommand accepts exactly the flags listed above for
+              it; any other flag is a usage error";
+
+/// Rejects any flag the subcommand does not accept, naming it: a
+/// typo'd or retired flag must not run silently with its default.
+pub fn check_flags(a: &Args) -> Result<(), CliError> {
+    let Some(accepted) = accepted_flags(&a.command) else {
+        return Ok(());
+    };
+    match a.options.keys().find(|k| !accepted.contains(&k.as_str())) {
+        Some(k) => Err(CliError::Usage(format!(
+            "unknown flag --{k} for `mcast {}`",
+            a.command
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The flags `mcast <command>` accepts: exactly those its entry in
+/// [`USAGE`] lists, so the help text and the parser cannot disagree.
+/// `None` for a subcommand USAGE does not document.
+pub fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
+    let mut flags: Option<Vec<&'static str>> = None;
+    let entries = USAGE
+        .lines()
+        .skip_while(|l| *l != "USAGE:")
+        .skip(1)
+        .take_while(|l| !l.is_empty());
+    for line in entries {
+        if let Some(rest) = line.trim_start().strip_prefix("mcast ") {
+            if flags.is_some() {
+                break;
+            }
+            if rest.split_whitespace().next() != Some(command) {
+                continue;
+            }
+            flags = Some(Vec::new());
+        }
+        if let Some(f) = flags.as_mut() {
+            f.extend(
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter_map(|t| t.strip_prefix("--")),
+            );
+        }
+    }
+    flags
+}
 
 fn to_arg(e: RegistryError) -> ArgError {
     ArgError(e.0)
@@ -330,36 +372,7 @@ fn sweep_spec(a: &Args) -> Result<ExperimentSpec, CliError> {
     spec.destinations = a.number("dests", 8)?;
     spec.replications = a.number("replications", 3)?;
     spec.seed = a.number("seed", 7)?;
-    spec.engine_jobs = engine_jobs_flag(a)?;
     Ok(spec)
-}
-
-/// Parses `--engine-jobs` (single-run engine lanes, DESIGN.md §15);
-/// 0 / absent means 1 lane (the plain serial engine). Requesting more
-/// lanes than the host has cores is allowed — results are bit-identical
-/// at any lane count — but warns, since the extra lanes only add
-/// windowing overhead.
-fn engine_jobs_flag(a: &Args) -> Result<usize, ArgError> {
-    Ok(match a.number::<usize>("engine-jobs", 0)? {
-        0 => 1,
-        n => {
-            if let Some(host) = host_cpus() {
-                if n > host {
-                    eprintln!(
-                        "warning: --engine-jobs {n} exceeds this host's {host} available \
-                         core(s); results are identical but lanes beyond the core count \
-                         only add overhead"
-                    );
-                }
-            }
-            n
-        }
-    })
-}
-
-/// Cores available to this process (`None` if the platform won't say).
-fn host_cpus() -> Option<usize> {
-    std::thread::available_parallelism().ok().map(|n| n.get())
 }
 
 /// `mcast sweep …` — the Chapter-7 grid (loads × algorithms ×
@@ -382,14 +395,7 @@ pub fn sweep(a: &Args) -> Result<(), CliError> {
     let (rows, parallel_ms) = run(jobs, &spec)?;
     print_sweep_table(&rows);
     if compare_serial {
-        // The reference leg is fully serial: one sweep thread AND one
-        // engine lane, so the comparison also proves the space-parallel
-        // engine (when --engine-jobs > 1) changed nothing.
-        let serial_spec = ExperimentSpec {
-            engine_jobs: 1,
-            ..spec.clone()
-        };
-        let (serial_rows, serial_ms) = run(1, &serial_spec)?;
+        let (serial_rows, serial_ms) = run(1, &spec)?;
         let identical = rows.len() == serial_rows.len()
             && rows.iter().zip(&serial_rows).all(|(p, s)| {
                 p.point == s.point
@@ -435,12 +441,6 @@ pub fn sweep(a: &Args) -> Result<(), CliError> {
 pub fn run(a: &Args) -> Result<(), CliError> {
     let path = a.require("spec")?;
     let mut spec = read_spec_file(path)?;
-    // --engine-jobs overrides the spec's engine lanes; results are
-    // bit-identical either way (DESIGN.md §15), so the override never
-    // changes what the spec means, only how fast it runs.
-    if let n @ 2.. = engine_jobs_flag(a)? {
-        spec.engine_jobs = n;
-    }
     // --stream / --messages / --duration-ms turn on (or tighten) the
     // spec's streaming section: bounded-memory open-loop points
     // (DESIGN.md §16). --duration-ms bounds each point by simulated
@@ -1148,7 +1148,6 @@ pub fn serve(a: &Args) -> Result<(), CliError> {
             0 => resolve_jobs(None),
             n => n,
         },
-        engine_jobs: a.number("engine-jobs", 0)?,
         queue_cap: a.number("queue-cap", ServeConfig::default().queue_cap)?,
         deadline_ms: a.number("deadline-ms", 0)?,
         step_budget: a.number("step-budget", 0)?,
@@ -1584,18 +1583,6 @@ mod tests {
         let p = path.to_str().unwrap();
         run(&args(&["run", "--spec", p, "--stream", "true"])).unwrap();
         run(&args(&["run", "--spec", p, "--messages", "300"])).unwrap();
-        run(&args(&[
-            "run",
-            "--spec",
-            p,
-            "--stream",
-            "true",
-            "--messages",
-            "300",
-            "--engine-jobs",
-            "2",
-        ]))
-        .unwrap();
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1636,12 +1623,43 @@ mod tests {
     }
 
     #[test]
-    fn engine_jobs_flag_accepts_oversubscription() {
-        // More lanes than cores stays valid (results are lane-count
-        // independent); the flag parses and only warns on stderr.
-        let a = args(&["sweep", "--engine-jobs", "4096"]);
-        assert_eq!(engine_jobs_flag(&a).unwrap(), 4096);
-        assert!(host_cpus().is_none_or(|n| n >= 1));
+    fn usage_lists_the_flags_each_subcommand_accepts() {
+        // Rejection (exit 2 naming the flag) is tested end to end in
+        // tests/flags.rs; here, documented flags must pass.
+        check_flags(&args(&[
+            "run", "--spec", "s.json", "--jobs", "2", "--stream",
+        ]))
+        .unwrap();
+        check_flags(&args(&[
+            "serve",
+            "--journal",
+            "d",
+            "--chaos",
+            "--seed",
+            "7",
+        ]))
+        .unwrap();
+        // Every documented subcommand has an entry; `mcast help` takes
+        // no flags at all.
+        for cmd in [
+            "route",
+            "simulate",
+            "sweep",
+            "run",
+            "deadlock",
+            "fault-sweep",
+            "trace",
+            "metrics",
+            "verify",
+            "topo",
+            "serve",
+            "submit",
+        ] {
+            let flags = accepted_flags(cmd).unwrap_or_else(|| panic!("{cmd} undocumented"));
+            assert!(!flags.is_empty(), "{cmd} lists no flags");
+        }
+        assert_eq!(accepted_flags("help"), Some(Vec::new()));
+        assert_eq!(accepted_flags("nope"), None);
     }
 
     #[test]
@@ -1763,34 +1781,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_jobs_and_engine_jobs_compose_bit_identically() {
-        // Satellite of DESIGN.md §15: two sweep threads, each running
-        // its simulations on two engine lanes, against the fully serial
-        // reference (1 job, 1 lane). sweep() exits non-zero on any
-        // divergence, so a clean return IS the parity assertion.
-        sweep(&args(&[
-            "sweep",
-            "--topology",
-            "mesh:4x4",
-            "--algorithms",
-            "dual-path,multi-path",
-            "--loads-us",
-            "800,500",
-            "--dests",
-            "4",
-            "--replications",
-            "2",
-            "--jobs",
-            "2",
-            "--engine-jobs",
-            "2",
-            "--compare-serial",
-            "true",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
     fn verify_quick_profile_passes_cleanly() {
         // The acceptance sweep: 64 cases from seed 1 must conform with
         // zero mismatches across every registry (topology, scheme) pair.
@@ -1814,7 +1804,7 @@ mod tests {
             messages: 4,
             seed: 3,
             fault_rate: 0.0,
-            engine_jobs: 2,
+            engine_jobs: 1,
             stream: true,
         };
         std::fs::write(&path, scenario.to_spec().to_json()).unwrap();

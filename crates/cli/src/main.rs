@@ -25,7 +25,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match parsed.command.as_str() {
+    let result = commands::check_flags(&parsed).and_then(|()| match parsed.command.as_str() {
         "route" => commands::route(&parsed),
         "simulate" => commands::simulate(&parsed),
         "sweep" => commands::sweep(&parsed),
@@ -45,7 +45,7 @@ fn main() {
         other => Err(args::CliError::Usage(format!(
             "unknown subcommand {other:?}"
         ))),
-    };
+    });
     // Usage errors re-print the help block and exit 2; runtime errors
     // (missing spec file, failed run, broken invariant) print only the
     // actionable message and exit 1.

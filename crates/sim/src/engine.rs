@@ -120,61 +120,58 @@ pub struct AbortedMessage {
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct ChanState {
-    pub(crate) owner: Option<(usize, usize)>,
-    pub(crate) queue: VecDeque<(usize, usize)>,
+struct ChanState {
+    owner: Option<(usize, usize)>,
+    queue: VecDeque<(usize, usize)>,
 }
 
 /// One edge of a worm. Flat (no per-edge heap allocation): child and
 /// group membership live in per-worm index arenas.
 #[derive(Debug, Clone)]
-pub(crate) struct EdgeState {
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) class: ClassChoice,
+struct EdgeState {
+    from: NodeId,
+    to: NodeId,
+    class: ClassChoice,
     /// Edge feeding this one (`None` = fed directly by the source).
-    pub(crate) upstream: Option<u32>,
+    upstream: Option<u32>,
     /// Start of this edge's slice of the worm's `children` arena.
-    pub(crate) child_start: u32,
+    child_start: u32,
     /// Number of edges fed by this edge's head node.
-    pub(crate) child_count: u32,
+    child_count: u32,
     /// Branch group this edge belongs to (siblings sharing a feed node).
-    pub(crate) group: u32,
+    group: u32,
     /// First candidate channel id for this hop, resolved at worm-build
     /// time (class copies of a link have consecutive ids). The cascade
     /// never consults the network topology after build.
-    pub(crate) cand_base: ChannelId,
+    cand_base: ChannelId,
     /// Number of candidate class copies (1 for `ClassChoice::Fixed`).
-    pub(crate) cand_count: u32,
-    /// Class-independent link id (`link_base` of the hop) — the
-    /// conflict-clustering key for window-parallel execution.
-    pub(crate) link_key: ChannelId,
+    cand_count: u32,
     /// Channel granted to this edge.
-    pub(crate) channel: Option<ChannelId>,
+    channel: Option<ChannelId>,
     /// Whether a channel request is pending in some queue.
-    pub(crate) waiting: bool,
+    waiting: bool,
     /// The channel whose queue holds this edge's pending request —
     /// `Some` exactly while `waiting` (stuck diagnostics + abort scrub).
-    pub(crate) queued_on: Option<ChannelId>,
+    queued_on: Option<ChannelId>,
     /// Flits that have fully crossed this edge.
-    pub(crate) crossed: u32,
+    crossed: u32,
     /// Transfer in progress.
-    pub(crate) busy: bool,
+    busy: bool,
     /// Tail has crossed and the channel was released.
-    pub(crate) done: bool,
+    done: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupState {
+struct GroupState {
     /// Start of this group's slice of the worm's `group_members` arena.
-    pub(crate) start: u32,
-    pub(crate) members: u32,
-    pub(crate) owned: u32,
+    start: u32,
+    members: u32,
+    owned: u32,
 }
 
 /// How a worm moves its flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WormKind {
+enum WormKind {
     /// Pipelined wormhole path.
     Path,
     /// Lock-step replicated tree.
@@ -184,43 +181,41 @@ pub(crate) enum WormKind {
 }
 
 #[derive(Debug)]
-pub(crate) struct WormState {
-    pub(crate) message: MessageId,
-    pub(crate) kind: WormKind,
-    pub(crate) edges: Vec<EdgeState>,
-    pub(crate) groups: Vec<GroupState>,
+struct WormState {
+    message: MessageId,
+    kind: WormKind,
+    edges: Vec<EdgeState>,
+    groups: Vec<GroupState>,
     /// Child-edge arena: edge `e` feeds
     /// `children[e.child_start..e.child_start + e.child_count]`.
-    pub(crate) children: Vec<u32>,
+    children: Vec<u32>,
     /// Group-member arena: group `g` owns
     /// `group_members[g.start..g.start + g.members]`, ascending by edge
     /// index. Immutable for the worm's lifetime once built.
-    pub(crate) group_members: Vec<u32>,
-    pub(crate) edges_done: usize,
-    pub(crate) active: bool,
+    group_members: Vec<u32>,
+    edges_done: usize,
+    active: bool,
     /// Incarnation counter for this worm *slot*: bumped on abort so
     /// events scheduled for a torn-down worm are recognized as stale
     /// after the slot is reused (events carry the gen they were
     /// scheduled under).
-    pub(crate) gen: u32,
+    gen: u32,
     /// Set when a channel request found every copy of a hop dead — the
     /// worm can never advance and needs recovery-layer intervention.
-    pub(crate) stalled: bool,
+    stalled: bool,
     /// Staged worms: number of same-plan feeder worms that must complete
     /// before this worm requests its first channel. Zero for every other
     /// kind, and for a staged worm once released.
-    pub(crate) deps_pending: u32,
+    deps_pending: u32,
     /// Worm slots (with their injection-time `gen`) released in-cascade
     /// by this worm's completion event.
-    pub(crate) dependents: Vec<(u32, u32)>,
+    dependents: Vec<(u32, u32)>,
 }
 
 impl WormState {
     /// An inactive placeholder; `build_worm` fills slots in place so a
-    /// reused slot keeps its vec capacities (and its `gen`). Also the
-    /// stand-in left behind while window-parallel execution has a
-    /// worm's state checked out into a component (`partition.rs`).
-    pub(crate) fn vacant() -> Self {
+    /// reused slot keeps its vec capacities (and its `gen`).
+    fn vacant() -> Self {
         WormState {
             message: 0,
             kind: WormKind::Path,
@@ -240,10 +235,9 @@ impl WormState {
 
 /// Per-destination delivery slots. Single-destination unicasts — the
 /// bulk of a mixed workload — keep theirs inline instead of paying a
-/// heap allocation per message. `pub(crate)` so the window-parallel
-/// executor can buffer retired slots for canonical-order replay.
+/// heap allocation per message.
 #[derive(Debug)]
-pub(crate) enum Deliveries {
+enum Deliveries {
     One((NodeId, Option<Time>)),
     Many(Vec<(NodeId, Option<Time>)>),
 }
@@ -272,7 +266,7 @@ impl Deliveries {
 }
 
 #[derive(Debug)]
-pub(crate) struct MessageState {
+struct MessageState {
     id: MessageId,
     source: NodeId,
     injected_at: Time,
@@ -285,7 +279,7 @@ pub(crate) struct MessageState {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Event {
+enum Event {
     TransferComplete {
         worm: u32,
         edge: u32,
@@ -395,20 +389,20 @@ impl RunBudget {
 /// ```
 pub struct Engine {
     config: SimConfig,
-    pub(crate) network: Network,
-    pub(crate) channels: Vec<ChanState>,
-    pub(crate) worms: Vec<WormState>,
-    pub(crate) worm_free: Vec<usize>,
-    pub(crate) messages: Vec<Option<MessageState>>,
-    pub(crate) completed: Vec<CompletedMessage>,
+    network: Network,
+    channels: Vec<ChanState>,
+    worms: Vec<WormState>,
+    worm_free: Vec<usize>,
+    messages: Vec<Option<MessageState>>,
+    completed: Vec<CompletedMessage>,
     /// Calendar/bucket queue keyed on flit-time granularity, with a heap
     /// fallback for far-future events (DESIGN.md §10).
-    pub(crate) events: EventQueue<Event>,
-    pub(crate) now: Time,
-    pub(crate) in_flight: usize,
+    events: EventQueue<Event>,
+    now: Time,
+    in_flight: usize,
     /// Events processed by this engine instance (the machine-insensitive
     /// work metric the BENCH probes report).
-    pub(crate) steps: u64,
+    steps: u64,
     /// Optional cooperative budget; `None` (the default) keeps the run
     /// loops budget-free.
     budget: Option<RunBudget>,
@@ -430,19 +424,18 @@ pub struct Engine {
     spare_done: Vec<Vec<(NodeId, Time)>>,
     /// High-water mark of live worm slots — the memory gauge proving a
     /// streaming run's footprint tracks in-flight traffic, not message
-    /// count. Updated at worm build (injection happens between run
-    /// calls, so the gauge is engine-jobs independent).
+    /// count. Updated at worm build.
     peak_live_worms: usize,
     /// High-water mark of in-flight messages.
     peak_in_flight: usize,
     flit_time: Time,
     flits: u32,
     /// Cumulative transfer time per channel (utilization accounting).
-    pub(crate) busy_ns: Vec<Time>,
+    busy_ns: Vec<Time>,
     /// Total flit hops started (one per channel traversal of one flit) —
     /// the simulator's throughput denominator, counted unconditionally so
     /// benchmarks don't need a sink installed to read it.
-    pub(crate) flit_hops: u64,
+    flit_hops: u64,
     /// Channel whose grant/release history is traced to stderr (debug aid,
     /// set from the `MCAST_TRACE_CHAN` environment variable).
     trace_chan: Option<ChannelId>,
@@ -464,14 +457,6 @@ pub struct Engine {
     /// Inject scratch: plan-index → worm-slot map for wiring staged
     /// dependencies without a per-inject allocation.
     scratch_slots: Vec<u32>,
-    /// Window-parallel executor (DESIGN.md §15): `Some` routes
-    /// `run_until`/`run_to_quiescence` through the deterministic
-    /// window-cohort path in `partition.rs`; `None` (the default) is
-    /// the untouched serial event loop. All executor state is scratch —
-    /// between windows the engine fields are the only authority, so
-    /// `step()`-level callers (the recovery supervisor, saturation
-    /// probes) interoperate freely with windowed runs.
-    pub(crate) par: Option<crate::partition::ParallelExec>,
 }
 
 impl Engine {
@@ -514,36 +499,13 @@ impl Engine {
             peak_live_worms: 0,
             peak_in_flight: 0,
             sink: None,
-            par: None,
         }
     }
 
-    /// Sets the number of worker lanes for single-run parallelism
-    /// (DESIGN.md §15). `1` (the default) is the plain serial event
-    /// loop; `N > 1` routes `run_until`/`run_to_quiescence` through the
-    /// deterministic window-cohort executor, whose output is
-    /// bit-identical to serial. `MCAST_TRACE_CHAN` tracing needs the
-    /// serial interleaving to be readable, so it forces jobs back to 1.
-    pub fn set_engine_jobs(&mut self, jobs: usize) {
-        if jobs <= 1 || self.trace_chan.is_some() {
-            self.par = None;
-        } else {
-            self.par = Some(crate::partition::ParallelExec::new(jobs));
-        }
-    }
-
-    /// Worker lanes the run loops will use (1 = serial path).
-    pub fn engine_jobs(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.jobs())
-    }
-
-    /// Test hook: install the window-cohort executor even for `jobs <=
-    /// 1`, so the windowed path (cohort collection, conflict
-    /// clustering, take/merge) is exercised without needing spare
-    /// cores. Production callers use [`Engine::set_engine_jobs`].
+    /// Accepts only 1; remains only because the benchmark harness names it.
     #[doc(hidden)]
-    pub fn set_engine_jobs_forced(&mut self, jobs: usize) {
-        self.par = Some(crate::partition::ParallelExec::forced(jobs.max(1)));
+    pub fn set_engine_jobs(&mut self, jobs: usize) {
+        assert!(jobs <= 1, "engine_jobs = {jobs}: the engine is serial");
     }
 
     /// Installs a cooperative [`RunBudget`]: the run loops charge one
@@ -569,10 +531,9 @@ impl Engine {
     }
 
     /// Charges one step to the installed budget (if any); returns
-    /// `true` when the run loop should stop. `pub(crate)`: the windowed
-    /// executor charges per popped event, exactly like the serial loop.
+    /// `true` when the run loop should stop.
     #[inline]
-    pub(crate) fn charge_budget(&mut self) -> bool {
+    fn charge_budget(&mut self) -> bool {
         if let Some(b) = &self.budget {
             if self.budget_hit || b.charge(1) {
                 self.budget_hit = true;
@@ -786,7 +747,7 @@ impl Engine {
         }
 
         if plan.worms.is_empty() {
-            finish_message(self, msg_slot);
+            self.finish_message(msg_slot);
             return msg_slot;
         }
 
@@ -825,7 +786,7 @@ impl Engine {
             match self.worms[widx].kind {
                 WormKind::Circuit => {
                     // The control packet claims one channel at a time.
-                    request_channel(self, widx, 0);
+                    self.request_channel(widx, 0);
                 }
                 WormKind::Path | WormKind::Tree => {
                     // Request the root-group channels. Requests never
@@ -833,7 +794,7 @@ impl Engine {
                     // plain forward scan needs no collected list.
                     for e in 0..self.worms[widx].edges.len() {
                         if self.worms[widx].edges[e].upstream.is_none() {
-                            request_channel(self, widx, e);
+                            self.request_channel(widx, e);
                         }
                     }
                 }
@@ -901,7 +862,6 @@ impl Engine {
                         group: i as u32, // every path edge is its own group
                         cand_base: 0,    // resolved below
                         cand_count: 0,
-                        link_key: 0,
                         channel: None,
                         waiting: false,
                         queued_on: None,
@@ -937,7 +897,6 @@ impl Engine {
                         group: u32::MAX, // assigned below
                         cand_base: 0,    // resolved below
                         cand_count: 0,
-                        link_key: 0,
                         channel: None,
                         waiting: false,
                         queued_on: None,
@@ -1043,12 +1002,9 @@ impl Engine {
             }
         }
         // Resolve every hop's channel-candidate range once, here at
-        // build time, so the event cascade never consults the network —
-        // the property that lets window-parallel components run against
-        // fully detached state (partition.rs). `link_key` is the
-        // class-independent link id used for conflict clustering. The
-        // chaos class swap (DESIGN.md §12) resolves here too, which is
-        // why it must be armed before injection.
+        // build time, so the event cascade never consults the network
+        // topology. The chaos class swap (DESIGN.md §12) resolves here
+        // too, which is why it must be armed before injection.
         //
         // INVARIANT: plans are built from the same topology as the
         // network, so every hop names an existing channel table entry; a
@@ -1061,7 +1017,7 @@ impl Engine {
                 let es = &self.worms[slot].edges[i];
                 (es.from, es.to, es.class)
             };
-            let link_key = self
+            let link_base = self
                 .network
                 .link_base(from, to)
                 .unwrap_or_else(|| panic!("no channel {from}->{to} in network"));
@@ -1078,12 +1034,11 @@ impl Engine {
                         .unwrap_or_else(|| panic!("channel {from}->{to} class {c} not in network"));
                     (id, 1)
                 }
-                ClassChoice::Any => (link_key, self.network.classes() as u32),
+                ClassChoice::Any => (link_base, self.network.classes() as u32),
             };
             let es = &mut self.worms[slot].edges[i];
             es.cand_base = base;
             es.cand_count = count;
-            es.link_key = link_key;
         }
         slot
     }
@@ -1096,16 +1051,13 @@ impl Engine {
         debug_assert!(t >= self.now, "time must not go backwards");
         self.now = t;
         self.steps += 1;
-        exec_event(self, ev);
+        self.exec_event(ev);
         true
     }
 
     /// Runs until no events remain or the simulation time would exceed
     /// `until`. Returns the number of events processed.
     pub fn run_until(&mut self, until: Time) -> usize {
-        if self.par.is_some() {
-            return crate::partition::run_windowed_until(self, until);
-        }
         let mut n = 0;
         while let Some(t) = self.events.peek_time() {
             if t > until {
@@ -1127,9 +1079,6 @@ impl Engine {
     /// or, with a [`RunBudget`] installed, that the budget ran out
     /// (check [`Engine::budget_exhausted`] to tell the two apart).
     pub fn run_to_quiescence(&mut self) -> bool {
-        if self.par.is_some() {
-            return crate::partition::run_windowed_quiesce(self);
-        }
         while self.has_events() {
             if self.charge_budget() {
                 return false;
@@ -1371,7 +1320,7 @@ impl Engine {
                 if self.worms[w].active && self.worms[w].edges[e].waiting {
                     self.worms[w].edges[e].waiting = false;
                     self.worms[w].edges[e].queued_on = None;
-                    request_channel(self, w, e);
+                    self.request_channel(w, e);
                     if self.worms[w].stalled {
                         affected.insert(self.worms[w].message);
                     }
@@ -1405,7 +1354,7 @@ impl Engine {
                 self.worms[w].edges[e].waiting = false;
                 self.worms[w].edges[e].busy = false;
                 if let Some(chan) = self.worms[w].edges[e].channel.take() {
-                    release(self, chan);
+                    self.release(chan);
                 }
             }
             self.worm_free.push(w);
@@ -1426,13 +1375,7 @@ impl Engine {
             delivered: delivered.len(),
             pending: pending.len(),
         });
-        if self.stream {
-            if let Deliveries::Many(mut v) = m.deliveries {
-                v.clear();
-                self.spare_slots.push(v);
-            }
-            self.msg_free.push(msg);
-        }
+        self.retire_slot(msg, m.deliveries);
         Some(AbortedMessage {
             id: m.id,
             source: m.source,
@@ -1443,14 +1386,10 @@ impl Engine {
         })
     }
 
-    /// Retires message slot `slot`, recycling its delivery buffer — the
-    /// serial half of [`ExecCtx::retire_msg`], also called by the
-    /// window-parallel merge when it replays buffered retirements in
-    /// canonical cohort order (so `msg_free` ends up in the exact order
-    /// serial execution would produce). A no-op (beyond dropping the
-    /// buffer) when streaming is off, preserving the grow-only slot ==
-    /// id invariant byte-for-byte.
-    pub(crate) fn retire_slot(&mut self, slot: usize, d: Deliveries) {
+    /// Retires message slot `slot`, recycling its delivery buffer. A
+    /// no-op (beyond dropping the buffer) when streaming is off,
+    /// preserving the grow-only slot == id invariant byte-for-byte.
+    fn retire_slot(&mut self, slot: usize, d: Deliveries) {
         if self.stream {
             if let Deliveries::Many(mut v) = d {
                 v.clear();
@@ -1459,585 +1398,414 @@ impl Engine {
             self.msg_free.push(slot);
         }
     }
-}
 
-/// The physical timing constants the event cascade needs, detached
-/// from the engine so window-parallel component execution
-/// (`partition.rs`) can run the same cascade against checked-out state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SimEnv {
-    pub(crate) flit_time: Time,
-    pub(crate) flits: u32,
-    pub(crate) routing_delay_ns: u64,
-    pub(crate) buffer_flits: u32,
-    pub(crate) circuit_setup_ns: u64,
-}
-
-/// Execution context for the event cascade — the single code path
-/// behind both the serial engine (effects applied immediately) and the
-/// window-parallel component executor (effects buffered, then merged in
-/// canonical cohort order; DESIGN.md §15). Everything the cascade
-/// touches goes through this trait, which is what makes
-/// `--engine-jobs N` bit-identical to serial *by construction*: there
-/// is no second cascade implementation to drift. The serial impl is a
-/// set of `#[inline]` field accessors, so the monomorphized serial
-/// cascade compiles to the same code the former `&mut self` methods
-/// did.
-pub(crate) trait ExecCtx {
-    fn now(&self) -> Time;
-    fn env(&self) -> SimEnv;
-    fn worm(&mut self, w: usize) -> &mut WormState;
-    fn worm_ref(&self, w: usize) -> &WormState;
-    fn chan(&mut self, c: ChannelId) -> &mut ChanState;
-    fn chan_ref(&self, c: ChannelId) -> &ChanState;
-    /// Channel liveness. Fault state is frozen for the duration of a
-    /// window — faults are injected between run calls, never mid-event
-    /// — so the parallel executor snapshots it per component.
-    fn chan_alive(&self, c: ChannelId) -> bool;
-    fn msg(&mut self, m: MessageId) -> &mut Option<MessageState>;
-    /// Schedules an event (serial: straight into the calendar queue;
-    /// parallel: buffered, pushed in canonical cohort order so the
-    /// queue's insertion-seq tiebreaker assigns the same values serial
-    /// would).
-    fn sched(&mut self, at: Time, ev: Event);
-    /// Charges transfer time to a channel's utilization counter (a
-    /// commutative sum — merge order cannot matter).
-    fn add_busy(&mut self, c: ChannelId, dt: Time);
-    fn count_flit_hop(&mut self);
-    /// Whether a sink is installed (gates event construction).
-    fn sink_on(&self) -> bool;
-    /// Emits into the sink; a no-op when no sink is installed.
-    fn emit_ev(&mut self, ev: SimEvent);
-    /// Whether `MCAST_TRACE_CHAN` tracing targets this channel (always
-    /// false under the parallel executor, which refuses to install
-    /// itself while tracing is on).
-    fn trace_on(&self, c: ChannelId) -> bool;
-    fn push_completed(&mut self, done: CompletedMessage);
-    fn free_worm(&mut self, w: usize);
-    fn dec_in_flight(&mut self);
     /// Externally reported id of the live message in `slot` (equal to
     /// `slot` unless streaming mode recycled it). Sink events carry
     /// this, never the slot, so streamed and non-streamed runs emit
     /// identical event streams.
-    fn msg_id(&mut self, slot: MessageId) -> MessageId {
-        self.msg(slot).as_ref().map_or(slot, |m| m.id)
+    #[inline]
+    fn msg_id(&self, slot: MessageId) -> MessageId {
+        self.messages[slot].as_ref().map_or(slot, |m| m.id)
     }
-    /// Retires a finished message slot, recycling its delivery buffer
-    /// (serial: immediately; parallel: buffered and replayed in
-    /// canonical cohort order at merge).
-    fn retire_msg(&mut self, slot: MessageId, d: Deliveries);
-    /// An empty buffer for a completed message's delivery list —
-    /// pooled in streaming mode, freshly allocated otherwise.
-    fn take_done_buf(&mut self) -> Vec<(NodeId, Time)>;
-}
 
-impl ExecCtx for Engine {
-    #[inline]
-    fn now(&self) -> Time {
-        self.now
-    }
-    #[inline]
-    fn env(&self) -> SimEnv {
-        SimEnv {
-            flit_time: self.flit_time,
-            flits: self.flits,
-            routing_delay_ns: self.config.routing_delay_ns,
-            buffer_flits: self.config.buffer_flits,
-            circuit_setup_ns: self.config.circuit_setup_ns,
-        }
-    }
-    #[inline]
-    fn worm(&mut self, w: usize) -> &mut WormState {
-        &mut self.worms[w]
-    }
-    #[inline]
-    fn worm_ref(&self, w: usize) -> &WormState {
-        &self.worms[w]
-    }
-    #[inline]
-    fn chan(&mut self, c: ChannelId) -> &mut ChanState {
-        &mut self.channels[c]
-    }
-    #[inline]
-    fn chan_ref(&self, c: ChannelId) -> &ChanState {
-        &self.channels[c]
-    }
-    #[inline]
-    fn chan_alive(&self, c: ChannelId) -> bool {
-        self.network.is_alive(c)
-    }
-    #[inline]
-    fn msg(&mut self, m: MessageId) -> &mut Option<MessageState> {
-        &mut self.messages[m]
-    }
-    #[inline]
-    fn sched(&mut self, at: Time, ev: Event) {
-        self.events.push(at, ev);
-    }
-    #[inline]
-    fn add_busy(&mut self, c: ChannelId, dt: Time) {
-        self.busy_ns[c] += dt;
-    }
-    #[inline]
-    fn count_flit_hop(&mut self) {
-        self.flit_hops += 1;
-    }
-    #[inline]
-    fn sink_on(&self) -> bool {
-        self.sink.is_some()
-    }
-    #[inline]
-    fn emit_ev(&mut self, ev: SimEvent) {
-        self.emit(ev);
-    }
-    #[inline]
-    fn trace_on(&self, c: ChannelId) -> bool {
-        self.trace_chan == Some(c)
-    }
-    #[inline]
-    fn push_completed(&mut self, done: CompletedMessage) {
-        self.completed.push(done);
-    }
-    #[inline]
-    fn free_worm(&mut self, w: usize) {
-        self.worm_free.push(w);
-    }
-    #[inline]
-    fn dec_in_flight(&mut self) {
-        self.in_flight -= 1;
-    }
-    #[inline]
-    fn retire_msg(&mut self, slot: MessageId, d: Deliveries) {
-        self.retire_slot(slot, d);
-    }
-    #[inline]
-    fn take_done_buf(&mut self) -> Vec<(NodeId, Time)> {
-        if self.stream {
-            self.spare_done.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-/// Applies one popped event: the stale-generation / inactive-worm
-/// guards, then the transfer or request cascade. Shared verbatim by
-/// [`Engine::step`] and the window-parallel component executor.
-pub(crate) fn exec_event<C: ExecCtx>(cx: &mut C, ev: Event) {
-    match ev {
-        // Events for a bumped generation belong to an aborted worm
-        // whose slot may have been reused — drop them silently.
-        Event::TransferComplete { worm, edge, gen } => {
-            let (worm, edge) = (worm as usize, edge as usize);
-            let wst = cx.worm_ref(worm);
-            if wst.gen == gen && wst.active {
-                on_transfer_complete(cx, worm, edge);
+    /// Applies one popped event: the stale-generation / inactive-worm
+    /// guards, then the transfer or request cascade.
+    fn exec_event(&mut self, ev: Event) {
+        match ev {
+            // Events for a bumped generation belong to an aborted worm
+            // whose slot may have been reused — drop them silently.
+            Event::TransferComplete { worm, edge, gen } => {
+                let (worm, edge) = (worm as usize, edge as usize);
+                let wst = &self.worms[worm];
+                if wst.gen == gen && wst.active {
+                    self.on_transfer_complete(worm, edge);
+                }
             }
-        }
-        Event::RequestChannel { worm, edge, gen } => {
-            let (worm, edge) = (worm as usize, edge as usize);
-            let wst = cx.worm_ref(worm);
-            if wst.gen == gen
-                && wst.active
-                && wst.edges[edge].channel.is_none()
-                && !wst.edges[edge].waiting
-            {
-                request_channel(cx, worm, edge);
+            Event::RequestChannel { worm, edge, gen } => {
+                let (worm, edge) = (worm as usize, edge as usize);
+                let wst = &self.worms[worm];
+                if wst.gen == gen
+                    && wst.active
+                    && wst.edges[edge].channel.is_none()
+                    && !wst.edges[edge].waiting
+                {
+                    self.request_channel(worm, edge);
+                }
             }
         }
     }
-}
 
-/// Requests a channel for edge `e` of worm `w`: grabs an idle copy if
-/// one exists, otherwise queues on the shortest queue (class 0 on
-/// ties). Candidate channel ids were resolved at worm-build time
-/// (`cand_base`/`cand_count`), so the cascade never consults the
-/// network topology.
-pub(crate) fn request_channel<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    let (base, count) = {
-        let es = &cx.worm_ref(w).edges[e];
-        if es.channel.is_some() || es.waiting || es.done {
-            // Idempotence: circuit establishment and header arrival can
-            // both ask for the same edge; a second request must not
-            // enqueue a duplicate (a stale duplicate would re-grant an
-            // already-released channel to a finished worm, orphaning
-            // it forever).
+    /// Requests a channel for edge `e` of worm `w`: grabs an idle copy if
+    /// one exists, otherwise queues on the shortest queue (class 0 on
+    /// ties). Candidate channel ids were resolved at worm-build time
+    /// (`cand_base`/`cand_count`), so the cascade never consults the
+    /// network topology.
+    fn request_channel(&mut self, w: usize, e: usize) {
+        let (base, count) = {
+            let es = &self.worms[w].edges[e];
+            if es.channel.is_some() || es.waiting || es.done {
+                // Idempotence: circuit establishment and header arrival can
+                // both ask for the same edge; a second request must not
+                // enqueue a duplicate (a stale duplicate would re-grant an
+                // already-released channel to a finished worm, orphaning
+                // it forever).
+                return;
+            }
+            (es.cand_base, es.cand_count as usize)
+        };
+        // Dead channels are never granted and never queued on. Grant the
+        // first live idle copy; otherwise remember the least-loaded live
+        // copy (strict `<` keeps the lowest class on queue-length ties,
+        // as the old `min_by_key` over (len, class) did).
+        let mut best: Option<(usize, ChannelId)> = None;
+        for chan in base..base + count {
+            if !self.network.is_alive(chan) {
+                continue;
+            }
+            if self.channels[chan].owner.is_none() {
+                self.grant(chan, w, e);
+                return;
+            }
+            let qlen = self.channels[chan].queue.len();
+            if best.is_none_or(|(len, _)| qlen < len) {
+                best = Some((qlen, chan));
+            }
+        }
+        let Some((_, target)) = best else {
+            // Every copy of this hop is dead: the worm is wedged by
+            // hardware, not by contention — flag it stalled for the
+            // recovery layer (the plain engine then reports it via
+            // `stalled_messages`).
+            self.worms[w].stalled = true;
+            let message = self.msg_id(self.worms[w].message);
+            self.emit(SimEvent::WormStalled {
+                at: self.now,
+                message,
+            });
             return;
+        };
+        self.channels[target].queue.push_back((w, e));
+        {
+            let es = &mut self.worms[w].edges[e];
+            es.waiting = true;
+            es.queued_on = Some(target);
         }
-        (es.cand_base, es.cand_count as usize)
-    };
-    // Dead channels are never granted and never queued on. Grant the
-    // first live idle copy; otherwise remember the least-loaded live
-    // copy (strict `<` keeps the lowest class on queue-length ties,
-    // as the old `min_by_key` over (len, class) did).
-    let mut best: Option<(usize, ChannelId)> = None;
-    for chan in base..base + count {
-        if !cx.chan_alive(chan) {
-            continue;
-        }
-        if cx.chan_ref(chan).owner.is_none() {
-            grant(cx, chan, w, e);
-            return;
-        }
-        let qlen = cx.chan_ref(chan).queue.len();
-        if best.is_none_or(|(len, _)| qlen < len) {
-            best = Some((qlen, chan));
-        }
-    }
-    let Some((_, target)) = best else {
-        // Every copy of this hop is dead: the worm is wedged by
-        // hardware, not by contention — flag it stalled for the
-        // recovery layer (the plain engine then reports it via
-        // `stalled_messages`).
-        cx.worm(w).stalled = true;
-        let at = cx.now();
-        let slot = cx.worm_ref(w).message;
-        let message = cx.msg_id(slot);
-        cx.emit_ev(SimEvent::WormStalled { at, message });
-        return;
-    };
-    cx.chan(target).queue.push_back((w, e));
-    {
-        let es = &mut cx.worm(w).edges[e];
-        es.waiting = true;
-        es.queued_on = Some(target);
-    }
-    if cx.sink_on() {
-        let at = cx.now();
-        let slot = cx.worm_ref(w).message;
-        let message = cx.msg_id(slot);
-        cx.emit_ev(SimEvent::ChannelBlocked {
-            at,
-            channel: target,
-            message,
-        });
-    }
-}
-
-fn grant<C: ExecCtx>(cx: &mut C, chan: ChannelId, w: usize, e: usize) {
-    if cx.trace_on(chan) {
-        eprintln!(
-            "t={} GRANT chan {chan} -> worm {w} edge {e} (msg {})",
-            cx.now(),
-            cx.worm_ref(w).message
-        );
-    }
-    assert!(
-        cx.chan_ref(chan).owner.is_none(),
-        "double grant of channel {chan}"
-    );
-    debug_assert!(cx.chan_alive(chan), "granting a dead channel");
-    cx.chan(chan).owner = Some((w, e));
-    if cx.sink_on() {
-        let at = cx.now();
-        let slot = cx.worm_ref(w).message;
-        let message = cx.msg_id(slot);
-        cx.emit_ev(SimEvent::ChannelAcquired {
-            at,
-            channel: chan,
-            message,
-        });
-    }
-    let g = cx.worm_ref(w).edges[e].group as usize;
-    {
-        let wst = cx.worm(w);
-        wst.edges[e].channel = Some(chan);
-        wst.edges[e].waiting = false;
-        wst.edges[e].queued_on = None;
-        wst.groups[g].owned += 1;
-    }
-    if cx.worm_ref(w).kind == WormKind::Circuit {
-        // Circuit establishment: the control packet advances to the
-        // next hop after its per-hop setup time.
-        let next = e + 1;
-        if next < cx.worm_ref(w).edges.len() {
-            let gen = cx.worm_ref(w).gen;
-            cx.sched(
-                cx.now() + cx.env().circuit_setup_ns,
-                Event::RequestChannel {
-                    worm: w as u32,
-                    edge: next as u32,
-                    gen,
-                },
-            );
-        }
-    }
-    let grp = cx.worm_ref(w).groups[g];
-    if grp.owned == grp.members {
-        // Group open: all its edges may start moving flits. The
-        // member arena is immutable while the worm lives, so walk it
-        // by index (ascending edge order, as before).
-        for k in grp.start..grp.start + grp.members {
-            let i = cx.worm_ref(w).group_members[k as usize] as usize;
-            try_start(cx, w, i);
-        }
-    }
-}
-
-fn release<C: ExecCtx>(cx: &mut C, chan: ChannelId) {
-    if cx.trace_on(chan) {
-        eprintln!(
-            "t={} RELEASE chan {chan} (owner {:?})",
-            cx.now(),
-            cx.chan_ref(chan).owner
-        );
-    }
-    if cx.sink_on() {
-        if let Some((w, _)) = cx.chan_ref(chan).owner {
-            let at = cx.now();
-            let slot = cx.worm_ref(w).message;
-            let message = cx.msg_id(slot);
-            cx.emit_ev(SimEvent::ChannelReleased {
-                at,
-                channel: chan,
+        if self.sink.is_some() {
+            let message = self.msg_id(self.worms[w].message);
+            self.emit(SimEvent::ChannelBlocked {
+                at: self.now,
+                channel: target,
                 message,
             });
         }
     }
-    cx.chan(chan).owner = None;
-    if !cx.chan_alive(chan) {
-        // A channel that died while owned grants nobody once the
-        // owner lets go: re-route its queued waiters — they may have
-        // a surviving Any-class copy, or they stall for recovery.
-        let waiters: Vec<(usize, usize)> = cx.chan(chan).queue.drain(..).collect();
-        for (w, e) in waiters {
-            if cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting {
-                {
-                    let es = &mut cx.worm(w).edges[e];
+
+    fn grant(&mut self, chan: ChannelId, w: usize, e: usize) {
+        if self.trace_chan == Some(chan) {
+            eprintln!(
+                "t={} GRANT chan {chan} -> worm {w} edge {e} (msg {})",
+                self.now, self.worms[w].message
+            );
+        }
+        assert!(
+            self.channels[chan].owner.is_none(),
+            "double grant of channel {chan}"
+        );
+        debug_assert!(self.network.is_alive(chan), "granting a dead channel");
+        self.channels[chan].owner = Some((w, e));
+        if self.sink.is_some() {
+            let message = self.msg_id(self.worms[w].message);
+            self.emit(SimEvent::ChannelAcquired {
+                at: self.now,
+                channel: chan,
+                message,
+            });
+        }
+        let wst = &mut self.worms[w];
+        let g = wst.edges[e].group as usize;
+        wst.edges[e].channel = Some(chan);
+        wst.edges[e].waiting = false;
+        wst.edges[e].queued_on = None;
+        wst.groups[g].owned += 1;
+        if wst.kind == WormKind::Circuit {
+            // Circuit establishment: the control packet advances to the
+            // next hop after its per-hop setup time.
+            let next = e + 1;
+            if next < wst.edges.len() {
+                let gen = wst.gen;
+                self.events.push(
+                    self.now + self.config.circuit_setup_ns,
+                    Event::RequestChannel {
+                        worm: w as u32,
+                        edge: next as u32,
+                        gen,
+                    },
+                );
+            }
+        }
+        let grp = self.worms[w].groups[g];
+        if grp.owned == grp.members {
+            // Group open: all its edges may start moving flits. The
+            // member arena is immutable while the worm lives, so walk it
+            // by index (ascending edge order, as before).
+            for k in grp.start..grp.start + grp.members {
+                let i = self.worms[w].group_members[k as usize] as usize;
+                self.try_start(w, i);
+            }
+        }
+    }
+
+    fn release(&mut self, chan: ChannelId) {
+        if self.trace_chan == Some(chan) {
+            eprintln!(
+                "t={} RELEASE chan {chan} (owner {:?})",
+                self.now, self.channels[chan].owner
+            );
+        }
+        if self.sink.is_some() {
+            if let Some((w, _)) = self.channels[chan].owner {
+                let message = self.msg_id(self.worms[w].message);
+                self.emit(SimEvent::ChannelReleased {
+                    at: self.now,
+                    channel: chan,
+                    message,
+                });
+            }
+        }
+        self.channels[chan].owner = None;
+        if !self.network.is_alive(chan) {
+            // A channel that died while owned grants nobody once the
+            // owner lets go: re-route its queued waiters — they may have
+            // a surviving Any-class copy, or they stall for recovery.
+            let waiters: Vec<(usize, usize)> = self.channels[chan].queue.drain(..).collect();
+            for (w, e) in waiters {
+                if self.worms[w].active && self.worms[w].edges[e].waiting {
+                    let es = &mut self.worms[w].edges[e];
                     es.waiting = false;
                     es.queued_on = None;
+                    self.request_channel(w, e);
                 }
-                request_channel(cx, w, e);
+            }
+            return;
+        }
+        while let Some((w, e)) = self.channels[chan].queue.pop_front() {
+            // Stale entries can linger if a worm was granted a different
+            // copy; skip anything no longer waiting.
+            if self.worms[w].active && self.worms[w].edges[e].waiting {
+                self.grant(chan, w, e);
+                return;
             }
         }
-        return;
     }
-    while let Some((w, e)) = cx.chan(chan).queue.pop_front() {
-        // Stale entries can linger if a worm was granted a different
-        // copy; skip anything no longer waiting.
-        if cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting {
-            grant(cx, chan, w, e);
-            return;
-        }
-    }
-}
 
-/// Whether edge `e` can transfer its next flit now; if so, schedule
-/// the completion event.
-fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    let env = cx.env();
-    // One read-only pass over the worm decides whether the flit can
-    // move — `worms[w]`/`edges[e]` are bounds-checked once instead of
-    // once per condition (this runs several times per flit hop).
-    let wst = cx.worm_ref(w);
-    if !wst.active {
-        return;
-    }
-    let es = &wst.edges[e];
-    let Some(chan) = es.channel else { return };
-    if es.busy || es.done {
-        return;
-    }
-    let flit = es.crossed;
-    if flit >= env.flits {
-        return;
-    }
-    let grp = wst.groups[es.group as usize];
-    if grp.owned < grp.members {
-        return; // lock-step: the branch group is not fully owned yet
-    }
-    let upstream = es.upstream;
-    // Upstream flit availability.
-    if let Some(u) = upstream {
-        if wst.edges[u as usize].crossed <= flit {
+    /// Whether edge `e` can transfer its next flit now; if so, schedule
+    /// the completion event.
+    fn try_start(&mut self, w: usize, e: usize) {
+        let flits = self.flits;
+        let buffer_flits = self.config.buffer_flits;
+        // One read-only pass over the worm decides whether the flit can
+        // move — `worms[w]`/`edges[e]` are bounds-checked once instead of
+        // once per condition (this runs several times per flit hop).
+        let wst = &self.worms[w];
+        if !wst.active {
             return;
         }
-    } else if wst.kind == WormKind::Tree {
-        // Source-fed tree edge: the branches replicate flits from a
-        // single injection buffer of `buffer_flits` capacity, so a
-        // flit is discarded (making room for the next) only when
-        // *every* root branch has taken it — the source-side
-        // lock-step of §6.1. (Path and circuit worms stream from the
-        // source unconstrained.)
-        let mut min_taken = u32::MAX;
-        for k in grp.start..grp.start + grp.members {
-            let s = &wst.edges[wst.group_members[k as usize] as usize];
-            min_taken = min_taken.min(s.crossed + u32::from(s.busy));
-        }
-        if flit >= min_taken + env.buffer_flits {
+        let es = &wst.edges[e];
+        let Some(chan) = es.channel else { return };
+        if es.busy || es.done {
             return;
         }
-    }
-    // Downstream buffer space at the head node: flits that crossed e
-    // but have not left through every child yet. A flit currently on
-    // the wire of a child channel has already left the buffer (its
-    // slot frees at transfer start, as in credit-based flow control),
-    // so children mid-transfer count toward the outflow.
-    if es.child_count > 0 {
-        let mut outflow = u32::MAX;
-        for k in es.child_start..es.child_start + es.child_count {
-            let ch = &wst.edges[wst.children[k as usize] as usize];
-            outflow = outflow.min(ch.crossed + u32::from(ch.busy));
-        }
-        if es.crossed - outflow.min(es.crossed) >= env.buffer_flits {
+        let flit = es.crossed;
+        if flit >= flits {
             return;
         }
-    }
-    let kind = wst.kind;
-    let gen = wst.gen;
-    let message = wst.message;
-    // Start the transfer.
-    let dt = env.flit_time + if flit == 0 { env.routing_delay_ns } else { 0 };
-    cx.worm(w).edges[e].busy = true;
-    cx.add_busy(chan, dt);
-    cx.count_flit_hop();
-    if cx.sink_on() {
-        let start = cx.now();
-        let message = cx.msg_id(message);
-        cx.emit_ev(SimEvent::FlitHop {
-            start,
-            end: start + dt,
-            channel: chan,
-            message,
-            flit,
-        });
-    }
-    cx.sched(
-        cx.now() + dt,
-        Event::TransferComplete {
-            worm: w as u32,
-            edge: e as u32,
-            gen,
-        },
-    );
-    // Starting frees a buffer slot upstream (flow-control credit at
-    // transfer start): retry the feeder, or the root-group siblings.
-    if let Some(u) = upstream {
-        try_start(cx, w, u as usize);
-    } else if kind == WormKind::Tree {
-        try_start_siblings(cx, w, e);
-    }
-}
-
-/// Retries every group sibling of edge `e` (ascending edge index,
-/// skipping `e` itself) — the shared-buffer wakeup for root-fed tree
-/// branches. Walks the immutable member arena by index, so no
-/// sibling list is allocated.
-fn try_start_siblings<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    let grp = cx.worm_ref(w).groups[cx.worm_ref(w).edges[e].group as usize];
-    for k in grp.start..grp.start + grp.members {
-        let s = cx.worm_ref(w).group_members[k as usize] as usize;
-        if s != e {
-            try_start(cx, w, s);
+        let grp = wst.groups[es.group as usize];
+        if grp.owned < grp.members {
+            return; // lock-step: the branch group is not fully owned yet
         }
-    }
-}
-
-fn on_transfer_complete<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    // Snapshot the immutable topology of the edge (feeder, child
-    // range, worm kind) in the same pass that bumps its flit count,
-    // so the retry cascade below doesn't re-index the worm per field.
-    let (crossed, upstream, cs, cn, kind) = {
-        let wst = cx.worm(w);
+        let upstream = es.upstream;
+        // Upstream flit availability.
+        if let Some(u) = upstream {
+            if wst.edges[u as usize].crossed <= flit {
+                return;
+            }
+        } else if wst.kind == WormKind::Tree {
+            // Source-fed tree edge: the branches replicate flits from a
+            // single injection buffer of `buffer_flits` capacity, so a
+            // flit is discarded (making room for the next) only when
+            // *every* root branch has taken it — the source-side
+            // lock-step of §6.1. (Path and circuit worms stream from the
+            // source unconstrained.)
+            let mut min_taken = u32::MAX;
+            for k in grp.start..grp.start + grp.members {
+                let s = &wst.edges[wst.group_members[k as usize] as usize];
+                min_taken = min_taken.min(s.crossed + u32::from(s.busy));
+            }
+            if flit >= min_taken + buffer_flits {
+                return;
+            }
+        }
+        // Downstream buffer space at the head node: flits that crossed e
+        // but have not left through every child yet. A flit currently on
+        // the wire of a child channel has already left the buffer (its
+        // slot frees at transfer start, as in credit-based flow control),
+        // so children mid-transfer count toward the outflow.
+        if es.child_count > 0 {
+            let mut outflow = u32::MAX;
+            for k in es.child_start..es.child_start + es.child_count {
+                let ch = &wst.edges[wst.children[k as usize] as usize];
+                outflow = outflow.min(ch.crossed + u32::from(ch.busy));
+            }
+            if es.crossed - outflow.min(es.crossed) >= buffer_flits {
+                return;
+            }
+        }
         let kind = wst.kind;
-        let es = &mut wst.edges[e];
-        es.busy = false;
-        es.crossed += 1;
-        (
-            es.crossed,
-            es.upstream,
-            es.child_start,
-            es.child_count,
-            kind,
-        )
-    };
-    if crossed == 1 && kind != WormKind::Circuit {
-        // Header arrived at head(e): claim the next channels. (Circuit
-        // worms acquire through the establishment chain instead.)
-        // The child arena is immutable while the worm lives, so walk
-        // it by index instead of cloning a per-flit list.
-        for k in cs..cs + cn {
-            let c = cx.worm_ref(w).children[k as usize] as usize;
-            request_channel(cx, w, c);
+        let gen = wst.gen;
+        let message = wst.message;
+        // Start the transfer.
+        let dt = self.flit_time
+            + if flit == 0 {
+                self.config.routing_delay_ns
+            } else {
+                0
+            };
+        self.worms[w].edges[e].busy = true;
+        self.busy_ns[chan] += dt;
+        self.flit_hops += 1;
+        if self.sink.is_some() {
+            let start = self.now;
+            let message = self.msg_id(message);
+            self.emit(SimEvent::FlitHop {
+                start,
+                end: start + dt,
+                channel: chan,
+                message,
+                flit,
+            });
+        }
+        self.events.push(
+            self.now + dt,
+            Event::TransferComplete {
+                worm: w as u32,
+                edge: e as u32,
+                gen,
+            },
+        );
+        // Starting frees a buffer slot upstream (flow-control credit at
+        // transfer start): retry the feeder, or the root-group siblings.
+        if let Some(u) = upstream {
+            self.try_start(w, u as usize);
+        } else if kind == WormKind::Tree {
+            self.try_start_siblings(w, e);
         }
     }
-    if crossed == cx.env().flits {
-        // Tail crossed: release the channel, record delivery.
-        let chan = cx.worm(w).edges[e]
-            .channel
-            .take()
-            .expect("owned while crossing");
-        cx.worm(w).edges[e].done = true;
-        release(cx, chan);
-        let (head, msg_id) = {
-            let wst = cx.worm_ref(w);
-            (wst.edges[e].to, wst.message)
+
+    /// Retries every group sibling of edge `e` (ascending edge index,
+    /// skipping `e` itself) — the shared-buffer wakeup for root-fed tree
+    /// branches. Walks the immutable member arena by index, so no
+    /// sibling list is allocated.
+    fn try_start_siblings(&mut self, w: usize, e: usize) {
+        let grp = self.worms[w].groups[self.worms[w].edges[e].group as usize];
+        for k in grp.start..grp.start + grp.members {
+            let s = self.worms[w].group_members[k as usize] as usize;
+            if s != e {
+                self.try_start(w, s);
+            }
+        }
+    }
+
+    fn on_transfer_complete(&mut self, w: usize, e: usize) {
+        // Snapshot the immutable topology of the edge (feeder, child
+        // range, worm kind) in the same pass that bumps its flit count,
+        // so the retry cascade below doesn't re-index the worm per field.
+        let (crossed, upstream, cs, cn, kind) = {
+            let wst = &mut self.worms[w];
+            let kind = wst.kind;
+            let es = &mut wst.edges[e];
+            es.busy = false;
+            es.crossed += 1;
+            (
+                es.crossed,
+                es.upstream,
+                es.child_start,
+                es.child_count,
+                kind,
+            )
         };
-        record_delivery(cx, msg_id, head);
-        cx.worm(w).edges_done += 1;
-        if cx.worm_ref(w).edges_done == cx.worm_ref(w).edges.len() {
-            cx.worm(w).active = false;
-            // Release staged dependents in-cascade, exactly like a
-            // channel release granting a queued waiter. A zero-delta
-            // scheduled event would land inside the current lookahead
-            // window and break the window-parallel executor's
-            // determinism invariant; a direct release stays inside the
-            // feeder's own event in every execution mode. Feeder and
-            // dependents share one message, so the windowed executor
-            // already clusters them into one component (plus the
-            // dependents' root links, added at classification). The
-            // drained vec goes back to keep its capacity across slot
-            // reuse.
-            let mut deps = std::mem::take(&mut cx.worm(w).dependents);
-            for &(d, g) in &deps {
-                let d = d as usize;
-                let wst = cx.worm_ref(d);
-                if wst.gen == g && wst.active && wst.deps_pending > 0 {
-                    let left = {
-                        let ws = cx.worm(d);
+        if crossed == 1 && kind != WormKind::Circuit {
+            // Header arrived at head(e): claim the next channels. (Circuit
+            // worms acquire through the establishment chain instead.)
+            // The child arena is immutable while the worm lives, so walk
+            // it by index instead of cloning a per-flit list.
+            for k in cs..cs + cn {
+                let c = self.worms[w].children[k as usize] as usize;
+                self.request_channel(w, c);
+            }
+        }
+        if crossed == self.flits {
+            // Tail crossed: release the channel, record delivery.
+            let chan = self.worms[w].edges[e]
+                .channel
+                .take()
+                .expect("owned while crossing");
+            self.worms[w].edges[e].done = true;
+            self.release(chan);
+            let (head, msg_id) = {
+                let wst = &self.worms[w];
+                (wst.edges[e].to, wst.message)
+            };
+            self.record_delivery(msg_id, head);
+            self.worms[w].edges_done += 1;
+            if self.worms[w].edges_done == self.worms[w].edges.len() {
+                self.worms[w].active = false;
+                // Release staged dependents in-cascade, exactly like a
+                // channel release granting a queued waiter. The drained
+                // vec goes back to keep its capacity across slot reuse.
+                let mut deps = std::mem::take(&mut self.worms[w].dependents);
+                for &(d, g) in &deps {
+                    let ws = &mut self.worms[d as usize];
+                    if ws.gen == g && ws.active && ws.deps_pending > 0 {
                         ws.deps_pending -= 1;
-                        ws.deps_pending
-                    };
-                    if left == 0 {
-                        // A staged worm is a path worm: its single
-                        // root is edge 0.
-                        request_channel(cx, d, 0);
+                        if ws.deps_pending == 0 {
+                            // A staged worm is a path worm: its single
+                            // root is edge 0.
+                            self.request_channel(d as usize, 0);
+                        }
                     }
                 }
+                deps.clear();
+                self.worms[w].dependents = deps;
+                let slot_msg = self.worms[w].message;
+                let finished = {
+                    let m = self.messages[slot_msg].as_mut().expect("message live");
+                    m.worms_done += 1;
+                    m.worms_done == m.worms_total
+                };
+                if finished {
+                    self.finish_message(slot_msg);
+                }
+                self.worm_free.push(w);
             }
-            deps.clear();
-            cx.worm(w).dependents = deps;
-            let slot_msg = cx.worm_ref(w).message;
-            let finished = {
-                let m = cx.msg(slot_msg).as_mut().expect("message live");
-                m.worms_done += 1;
-                m.worms_done == m.worms_total
-            };
-            if finished {
-                finish_message(cx, slot_msg);
-            }
-            cx.free_worm(w);
+        }
+        // Progress may unblock this edge (next flit), the upstream edge
+        // (space freed), the children (flit available), and — for root
+        // edges — the group siblings sharing the injection buffer.
+        self.try_start(w, e);
+        if let Some(u) = upstream {
+            self.try_start(w, u as usize);
+        } else if kind == WormKind::Tree {
+            self.try_start_siblings(w, e);
+        }
+        for k in cs..cs + cn {
+            let c = self.worms[w].children[k as usize] as usize;
+            self.try_start(w, c);
         }
     }
-    // Progress may unblock this edge (next flit), the upstream edge
-    // (space freed), the children (flit available), and — for root
-    // edges — the group siblings sharing the injection buffer.
-    try_start(cx, w, e);
-    if let Some(u) = upstream {
-        try_start(cx, w, u as usize);
-    } else if kind == WormKind::Tree {
-        try_start_siblings(cx, w, e);
-    }
-    for k in cs..cs + cn {
-        let c = cx.worm_ref(w).children[k as usize] as usize;
-        try_start(cx, w, c);
-    }
-}
 
-fn record_delivery<C: ExecCtx>(cx: &mut C, msg: MessageId, node: NodeId) {
-    let now = cx.now();
-    let (newly, id) = {
-        let m = cx.msg(msg).as_mut().expect("message live");
+    fn record_delivery(&mut self, msg: MessageId, node: NodeId) {
+        let now = self.now;
+        let m = self.messages[msg].as_mut().expect("message live");
         let mut newly = 0;
         for (d, t) in m.deliveries.slots_mut() {
             if *d == node && t.is_none() {
@@ -2046,63 +1814,63 @@ fn record_delivery<C: ExecCtx>(cx: &mut C, msg: MessageId, node: NodeId) {
             }
         }
         m.delivered_count += newly;
-        (newly, m.id)
-    };
-    if newly > 0 && cx.sink_on() {
-        cx.emit_ev(SimEvent::Delivered {
-            at: now,
-            message: id,
-            node,
-        });
+        let id = m.id;
+        if newly > 0 && self.sink.is_some() {
+            self.emit(SimEvent::Delivered {
+                at: now,
+                message: id,
+                node,
+            });
+        }
     }
-}
 
-fn finish_message<C: ExecCtx>(cx: &mut C, msg: MessageId) {
-    let m = cx.msg(msg).take().expect("message live");
-    let mut deliveries = cx.take_done_buf();
-    deliveries.extend(m.deliveries.slots().iter().map(|&(d, t)| {
-        (
-            d,
-            // INVARIANT: finish_message runs only when every worm
-            // completed, every plan covers its destination set,
-            // and aborted messages exit via abort_message (which
-            // reports partial delivery) — so a hole here means a
-            // plan/engine bug, not a runtime condition.
-            t.unwrap_or_else(|| panic!("destination {d} never delivered by message {}", m.id)),
-        )
-    }));
-    let completed_at = deliveries
-        .iter()
-        .map(|&(_, t)| t)
-        .max()
-        .unwrap_or(m.injected_at);
-    cx.push_completed(CompletedMessage {
-        id: m.id,
-        source: m.source,
-        injected_at: m.injected_at,
-        completed_at,
-        deliveries,
-        traffic: m.traffic,
-    });
-    cx.dec_in_flight();
-    cx.emit_ev(SimEvent::MessageCompleted {
-        at: completed_at,
-        message: m.id,
-        latency_ns: completed_at - m.injected_at,
-    });
-    cx.retire_msg(msg, m.deliveries);
-}
+    fn finish_message(&mut self, msg: MessageId) {
+        let m = self.messages[msg].take().expect("message live");
+        let mut deliveries = if self.stream {
+            self.spare_done.pop().unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        deliveries.extend(m.deliveries.slots().iter().map(|&(d, t)| {
+            (
+                d,
+                // INVARIANT: finish_message runs only when every worm
+                // completed, every plan covers its destination set,
+                // and aborted messages exit via abort_message (which
+                // reports partial delivery) — so a hole here means a
+                // plan/engine bug, not a runtime condition.
+                t.unwrap_or_else(|| panic!("destination {d} never delivered by message {}", m.id)),
+            )
+        }));
+        let completed_at = deliveries
+            .iter()
+            .map(|&(_, t)| t)
+            .max()
+            .unwrap_or(m.injected_at);
+        self.completed.push(CompletedMessage {
+            id: m.id,
+            source: m.source,
+            injected_at: m.injected_at,
+            completed_at,
+            deliveries,
+            traffic: m.traffic,
+        });
+        self.in_flight -= 1;
+        self.emit(SimEvent::MessageCompleted {
+            at: completed_at,
+            message: m.id,
+            latency_ns: completed_at - m.injected_at,
+        });
+        self.retire_slot(msg, m.deliveries);
+    }
 
-impl Engine {
     /// Debug: the (message, edge) currently owning a channel, if any.
     pub fn debug_owner(&self, chan: ChannelId) -> Option<(MessageId, usize)> {
         self.channels[chan]
             .owner
             .map(|(w, e)| (self.worms[w].message, e))
     }
-}
 
-impl Engine {
     /// Debug: raw owner slot info for a channel: (worm slot, edge, message, active).
     pub fn debug_owner_full(&self, chan: ChannelId) -> Option<(usize, usize, MessageId, bool)> {
         self.channels[chan]

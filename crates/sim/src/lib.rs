@@ -29,7 +29,6 @@ pub mod engine;
 mod equeue;
 pub mod error;
 pub mod network;
-mod partition;
 pub mod plan;
 pub mod recovery;
 pub mod reference;

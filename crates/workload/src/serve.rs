@@ -167,11 +167,6 @@ pub struct ServeConfig {
     /// Threads each job's sweep may use (kept at 1 by default so the
     /// worker pool, not the sweep, is the parallelism unit).
     pub sweep_jobs: usize,
-    /// Override for every spec's single-run engine lanes (DESIGN.md
-    /// §15); 0 honors whatever each spec declares. Safe to force: the
-    /// parallel engine is bit-identical to serial, so cached results
-    /// keyed by spec bytes stay valid.
-    pub engine_jobs: usize,
     /// Retry discipline for transient failures.
     pub retry: RetryPolicy,
     /// Fault injection (`None` in production).
@@ -186,7 +181,6 @@ impl Default for ServeConfig {
             deadline_ms: 0,
             step_budget: 0,
             sweep_jobs: 1,
-            engine_jobs: 0,
             retry: RetryPolicy::default(),
             chaos: None,
         }
@@ -814,11 +808,8 @@ impl JobServer {
             }
             ChaosAction::None => {}
         }
-        let mut spec = ExperimentSpec::from_json(spec_text)
+        let spec = ExperimentSpec::from_json(spec_text)
             .map_err(|e| AttemptError::permanent(format!("spec rejected: {e}")))?;
-        if self.cfg.engine_jobs > 0 {
-            spec.engine_jobs = self.cfg.engine_jobs;
-        }
         let rows = spec
             .run_sweep_with_budget(self.cfg.sweep_jobs.max(1), Some(budget.clone()))
             .map_err(|e| AttemptError::permanent(format!("spec rejected: {e}")))?;
@@ -1217,38 +1208,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_jobs_override_preserves_result_bytes() {
-        // Forcing the space-parallel engine on every job must not
-        // change a single result byte — that is what makes the
-        // override safe under the spec-bytes-keyed result cache.
-        let spec = tiny_spec("par", 31, 600.0).to_json();
-        let serial_dir = test_dir("par-serial");
-        let serial = JobServer::open(&serial_dir, ServeConfig::default()).unwrap();
-        serial.submit_text(&spec).unwrap();
-        serial.run_until_drained();
-        let serial_result = serial.cached_result(&spec).expect("serial completed");
-
-        let par_dir = test_dir("par-forced");
-        let cfg = ServeConfig {
-            engine_jobs: 4,
-            ..ServeConfig::default()
-        };
-        let par = JobServer::open(&par_dir, cfg).unwrap();
-        par.submit_text(&spec).unwrap();
-        par.run_until_drained();
-        let ledger = par.ledger();
-        assert!(ledger.balanced(), "{ledger}");
-        assert_eq!(ledger.completed, 1);
-        assert_eq!(
-            par.cached_result(&spec).expect("parallel completed"),
-            serial_result,
-            "engine_jobs=4 result bytes diverged from serial"
-        );
-        std::fs::remove_dir_all(&serial_dir).ok();
-        std::fs::remove_dir_all(&par_dir).ok();
-    }
-
-    #[test]
     fn poisoned_spec_fails_with_diagnostic_not_retry() {
         let dir = test_dir("poison");
         let server = JobServer::open(&dir, ServeConfig::default()).unwrap();
@@ -1345,6 +1304,42 @@ mod tests {
         assert_eq!(fresh.cached_result(&spec_a), Some(result_a));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
+    }
+
+    #[test]
+    fn journaled_engine_jobs_spec_replays_and_fails_naming_the_key() {
+        // A journal written before `engine_jobs` left the spec format:
+        // one accepted job whose canonical spec still carries the key,
+        // with no terminal record.
+        let dir = test_dir("old-engine-jobs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old_spec =
+            tiny_spec("old", 41, 600.0)
+                .to_json()
+                .replacen('{', "{\"engine_jobs\": 4, ", 1);
+        let mut line = String::new();
+        compact_json(
+            &Json::Obj(vec![
+                ("rec".into(), Json::from("accept")),
+                ("job".into(), Json::Num(0.0)),
+                ("spec".into(), Json::Str(old_spec)),
+            ]),
+            &mut line,
+        );
+        line.push('\n');
+        std::fs::write(dir.join("journal.log"), line).unwrap();
+
+        let server = JobServer::open(&dir, ServeConfig::default()).unwrap();
+        assert_eq!(server.queued(), 1, "unfinished job re-queued on replay");
+        server.run_until_drained();
+        let ledger = server.ledger();
+        assert!(ledger.balanced(), "{ledger}");
+        assert_eq!((ledger.accepted, ledger.failed), (1, 1));
+        let JobOutcome::Failed { diagnostic } = &server.outcomes()[&0] else {
+            panic!("expected failure, got {:?}", server.outcomes()[&0]);
+        };
+        assert!(diagnostic.contains("\"engine_jobs\""), "{diagnostic}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -213,11 +213,6 @@ pub struct ExperimentSpec {
     /// Give branch nodes virtual-cut-through replication buffers (one
     /// message worth) instead of single-flit lock-step buffers.
     pub vct_buffers: bool,
-    /// Worker lanes for single-run parallelism inside each engine
-    /// (DESIGN.md §15). `1` — the default, omitted from JSON — is the
-    /// serial event loop; `N > 1` is bit-identical to serial, so this
-    /// knob never changes results, only wall-clock.
-    pub engine_jobs: usize,
     /// Optional streaming section: bounded-memory open-loop runs.
     pub stream: Option<StreamSpec>,
     /// Optional fault sweep section.
@@ -239,7 +234,6 @@ impl ExperimentSpec {
             stopping: StoppingRule::default(),
             channel_classes: None,
             vct_buffers: false,
-            engine_jobs: 1,
             stream: None,
             fault: None,
         }
@@ -263,7 +257,6 @@ impl ExperimentSpec {
             max_in_flight_per_node: self.stopping.max_in_flight_per_node,
             seed: self.seed,
             pattern: self.traffic_pattern(),
-            engine_jobs: self.engine_jobs,
             ..DynamicConfig::default()
         };
         if self.vct_buffers {
@@ -313,9 +306,6 @@ impl ExperimentSpec {
         }
         if self.replications == 0 {
             return Err(err("replications must be at least 1"));
-        }
-        if self.engine_jobs == 0 {
-            return Err(err("engine_jobs must be at least 1"));
         }
         if let Some(stream) = &self.stream {
             if stream.max_in_flight == 0 {
@@ -489,9 +479,6 @@ impl ExperimentSpec {
         if self.vct_buffers {
             fields.push(("vct_buffers".into(), Json::Bool(true)));
         }
-        if self.engine_jobs != 1 {
-            fields.push(("engine_jobs".into(), Json::from(self.engine_jobs)));
-        }
         if let Some(stream) = &self.stream {
             let mut sf: Vec<(String, Json)> = Vec::new();
             if let Some(m) = stream.messages {
@@ -537,7 +524,6 @@ impl ExperimentSpec {
                 "stopping",
                 "channel_classes",
                 "vct_buffers",
-                "engine_jobs",
                 "stream",
                 "fault",
             ]
@@ -712,10 +698,6 @@ impl ExperimentSpec {
                     .as_bool()
                     .ok_or_else(|| err("spec field \"vct_buffers\" not a bool"))?,
             },
-            engine_jobs: match usize_field(&v, "engine_jobs", 1)? {
-                0 => return Err(err("engine_jobs must be at least 1")),
-                j => j,
-            },
             stream,
             fault,
         })
@@ -888,24 +870,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_jobs_round_trips_and_default_is_omitted() {
-        let mut spec = sample();
-        assert!(
-            !spec.to_json().contains("engine_jobs"),
-            "default engine_jobs=1 must stay out of canonical JSON"
-        );
-        spec.engine_jobs = 9;
-        let text = spec.to_json();
-        assert!(text.contains("engine_jobs"));
-        let back = ExperimentSpec::from_json(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), text, "engine_jobs byte drift");
-        // 9 appears nowhere else in the sample spec, so this targets
-        // exactly the engine_jobs value.
-        assert!(
-            ExperimentSpec::from_json(&text.replace('9', "0")).is_err(),
-            "engine_jobs: 0 must be rejected"
-        );
+    fn removed_engine_jobs_key_is_rejected_by_name() {
+        let text = sample().to_json().replacen('{', "{\"engine_jobs\": 4, ", 1);
+        let e = ExperimentSpec::from_json(&text).expect_err("engine_jobs is not a spec field");
+        assert!(e.to_string().contains("\"engine_jobs\""), "{e}");
     }
 
     #[test]

@@ -185,3 +185,33 @@ proptest! {
         prop_assert_eq!(total, k);
     }
 }
+
+#[test]
+fn xfirst_tree_deadlock_recovers_every_destination() {
+    // The xfirst-tree §6.4 configuration wedges; the watchdog aborts
+    // and retries until every destination is delivered.
+    use mcast_sim::deadlock::fig_6_4_multicasts;
+    use mcast_sim::recovery::ObliviousRouter;
+    use mcast_sim::registry::{build_router, SchemeId, TopoSpec};
+    let mesh = Mesh2D::new(4, 3);
+    let router = build_router(
+        &TopoSpec::Mesh2D { w: 4, h: 3 },
+        &SchemeId::named("xfirst-tree"),
+    )
+    .expect("xfirst-tree registered");
+    let classes = router.required_classes();
+    let supervised = ObliviousRouter::new(router);
+    let mut rec = RecoveryEngine::new(
+        Network::new(&mesh, classes),
+        SimConfig::default(),
+        &supervised,
+        RecoveryPolicy::default(),
+    );
+    for mc in fig_6_4_multicasts(&mesh) {
+        rec.submit(mc);
+    }
+    assert!(rec.run(), "recovery must deliver every destination");
+    let (delivered, total) = rec.delivery_counts();
+    assert_eq!(delivered, total);
+    assert!(rec.stats().aborts > 0, "the §6.4 configuration must wedge");
+}
